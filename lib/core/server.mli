@@ -56,12 +56,10 @@ val create :
   metrics:Metrics.t ->
   t
 
-(** Must be called once, before any message is delivered.  [?hooks]
-    (default true) installs the cache-residency hooks on the client
-    pools; sharded assemblies pass [false] and install one dispatcher
-    hook per pool themselves, routing each page to its shard's
-    {!residency_add}/{!residency_drop}. *)
-val register_clients : ?hooks:bool -> t -> client_link array -> unit
+(** Must be called once, before any message is delivered.  When the
+    server {!notifies}, the caller also mirrors each client pool's
+    residency changes into {!residency_add}/{!residency_drop}. *)
+val register_clients : t -> client_link array -> unit
 
 (** {1 Sharded topologies}
 
@@ -78,8 +76,7 @@ val register_clients : ?hooks:bool -> t -> client_link array -> unit
 val set_peers : t -> shard_id:int -> t array -> unit
 
 (** Mirror one client pool's residency change into this server's
-    notification directory (sharded assemblies only; see
-    {!register_clients}). *)
+    notification directory (see {!register_clients}). *)
 val residency_add : t -> int -> int -> unit
 
 val residency_drop : t -> int -> int -> unit

@@ -6,11 +6,12 @@
     notifications, commits.  Costs nothing when no sink or recorder is
     installed.
 
-    The sink slot is domain-local and shared with {!Obs.Recorder}:
-    {!Core.Simulator} installs a typed recorder in whatever domain runs a
-    simulation — including {!Sim.Pool} workers — so traced runs work at
-    any [-j]; the filled buffer travels back by value inside the run's
-    result and merges deterministically (see {!Obs.Run.merged_trace}).
+    The sink slot is domain-local and shared with {!Obs.Recorder}: the
+    runner ([Shard.Shard_sim]) installs a typed recorder in whatever
+    domain runs a simulation — including {!Sim.Pool} workers — so traced
+    runs work at any [-j]; the filled buffer travels back by value inside
+    the run's result and merges deterministically (see
+    {!Obs.Run.merged_trace}).
     The callback sink below is the legacy interface, kept for simple
     stream-to-stdout uses such as the [protocol_trace] example. *)
 

@@ -8,7 +8,7 @@
    this sweep exists to catch).
 
    Cells run sequentially and are never cached: each one is timed around
-   its own [Simulator.run], so a pool worker co-running another cell can
+   its own [Shard_sim.run], so a pool worker co-running another cell can
    not inflate its wall-clock. *)
 
 type cell = {
@@ -60,7 +60,7 @@ let run ?(progress = fun _ -> ()) ~quick ~seed () =
         (fun algo ->
           let spec = cell_spec ~quick ~seed ~n_clients algo in
           let t0 = Unix.gettimeofday () in
-          let r = Core.Simulator.run spec in
+          let r = Shard.Shard_sim.run spec in
           let wall = Unix.gettimeofday () -. t0 in
           let c =
             {

@@ -2,10 +2,11 @@
     typed {!Event.t} values keyed by [(sim_time, seq)].
 
     The recorder replaces the old "string sink that only works at [-j 1]"
-    model: {!Core.Simulator} installs a fresh recorder in whatever domain
-    runs the simulation — the caller's or a {!Sim.Pool} worker's — and the
-    filled buffer returns to the caller by value inside the run's result,
-    so traces from parallel runs merge deterministically afterwards.
+    model: the runner ([Shard.Shard_sim]) installs a fresh recorder in
+    whatever domain runs the simulation — the caller's or a {!Sim.Pool}
+    worker's — and the filled buffer returns to the caller by value
+    inside the run's result, so traces from parallel runs merge
+    deterministically afterwards.
 
     The sink slot is domain-local.  Within one domain there is exactly one
     active target at a time: either a recorder buffer or a legacy callback

@@ -151,9 +151,7 @@ let small_spec ?(obs = Obs.Config.causal) ?(seed = 7) ?(n_shards = 1)
     fault;
   }
 
-let run_spec (spec : Core.Simulator.spec) =
-  if spec.Core.Simulator.n_shards > 1 then Shard.Shard_sim.run spec
-  else Core.Simulator.run spec
+let run_spec (spec : Core.Simulator.spec) = Shard.Shard_sim.run spec
 
 let obs_of r =
   match r.Core.Simulator.obs with
@@ -413,11 +411,7 @@ let test_causal_obs_is_pure () =
     ({ instr with Core.Simulator.obs = None } = base)
 
 let dag_artifact ~jobs (spec : Core.Simulator.spec) =
-  let r =
-    if spec.Core.Simulator.n_shards > 1 then
-      Shard.Shard_sim.run_replicated ~jobs spec ~reps:3
-    else Core.Simulator.run_replicated ~jobs spec ~reps:3
-  in
+  let r = Shard.Shard_sim.run_replicated ~jobs spec ~reps:3 in
   Obs.Export.dag_text (Obs.Run.merged_causal (obs_of r))
 
 let test_jobs_invariance_dag () =

@@ -341,9 +341,7 @@ let protocols =
     ("no-wait", Core.Proto.No_wait { notify = Some Core.Proto.Push });
   ]
 
-let run_spec (spec : Core.Simulator.spec) =
-  if spec.Core.Simulator.n_shards > 1 then Shard.Shard_sim.run spec
-  else Core.Simulator.run spec
+let run_spec (spec : Core.Simulator.spec) = Shard.Shard_sim.run spec
 
 let obs_of r =
   match r.Core.Simulator.obs with
@@ -505,11 +503,7 @@ let test_latency_obs_is_pure () =
     ({ instr with Core.Simulator.obs = None } = base)
 
 let artifacts ~jobs (spec : Core.Simulator.spec) =
-  let r =
-    if spec.Core.Simulator.n_shards > 1 then
-      Shard.Shard_sim.run_replicated ~jobs spec ~reps:3
-    else Core.Simulator.run_replicated ~jobs spec ~reps:3
-  in
+  let r = Shard.Shard_sim.run_replicated ~jobs spec ~reps:3 in
   let o = obs_of r in
   let spans = Obs.Run.merged_spans o in
   ( Obs.Export.span_text spans,
