@@ -151,6 +151,84 @@ let test_pool_runs_are_traced () =
             (Array.length rep.Obs.Run.trace > 0))
         o.Obs.Run.reps
 
+(* Every commit and abort the result counts must also appear in the trace
+   and in the online registry, whichever commit path (one round or 2PC)
+   and whichever protocol decided it.  The trace covers the warmup too,
+   so it may hold more. *)
+let test_trace_accounts_result () =
+  let algos =
+    [
+      Core.Proto.Two_phase Core.Proto.Inter;
+      Core.Proto.Two_phase Core.Proto.Intra;
+      Core.Proto.Certification Core.Proto.Inter;
+      Core.Proto.Certification Core.Proto.Intra;
+      Core.Proto.Callback;
+      Core.Proto.No_wait { notify = None };
+      Core.Proto.No_wait { notify = Some Core.Proto.Push };
+      Core.Proto.No_wait { notify = Some Core.Proto.Invalidate };
+    ]
+  in
+  let obs = Obs.Config.make ~trace:true ~metrics:true () in
+  List.iter
+    (fun (n_shards, (plan, fault), algo) ->
+      let cfg = Core.Sys_params.table5 ~n_clients:8 () in
+      let xp =
+        Db.Xact_params.short_batch ~prob_write:0.5 ~inter_xact_loc:0.5 ()
+      in
+      let spec =
+        {
+          (Core.Simulator.default_spec ~seed:3 ~warmup_commits:20
+             ~measured_commits:100 ~fault ~obs ~cfg ~xact_params:xp algo)
+          with
+          Core.Simulator.n_shards;
+        }
+      in
+      let r = Shard.Shard_sim.run spec in
+      let cell =
+        Printf.sprintf "%s shards=%d plan=%s"
+          (Core.Proto.algorithm_name algo)
+          n_shards plan
+      in
+      let o = Option.get r.Core.Simulator.obs in
+      let rep = List.hd o.Obs.Run.reps in
+      Alcotest.(check int) (cell ^ ": no trace drops") 0 rep.Obs.Run.trace_dropped;
+      let count reason =
+        Array.fold_left
+          (fun n e ->
+            match (e.Obs.Recorder.ev, reason) with
+            | Obs.Event.Commit _, None -> n + 1
+            | Obs.Event.Abort { reason = r; _ }, Some want when r = want -> n + 1
+            | _ -> n)
+          0 rep.Obs.Run.trace
+      in
+      let m = Option.get (Obs.Run.merged_metrics o) in
+      let counter cause =
+        Option.value ~default:0
+          (Obs.Metrics.counter_value m
+             (Printf.sprintf "ccsim_aborts_total{cause=\"%s\"}" cause))
+      in
+      let at_least what have want =
+        if have < want then
+          Alcotest.failf "%s: %d %s recorded, result counts %d" cell have what
+            want
+      in
+      at_least "traced commits" (count None) r.Core.Simulator.commits;
+      List.iter
+        (fun (reason, cause, want) ->
+          at_least ("traced " ^ reason ^ " aborts") (count (Some reason)) want;
+          at_least (cause ^ " counter") (counter cause) want)
+        [
+          ("deadlock", "deadlock", r.Core.Simulator.aborts_deadlock);
+          ("stale read", "stale_read", r.Core.Simulator.aborts_stale);
+          ("certification", "cert_fail", r.Core.Simulator.aborts_cert);
+        ])
+    (List.concat_map
+       (fun n_shards ->
+         List.concat_map
+           (fun plan -> List.map (fun a -> (n_shards, plan, a)) algos)
+           [ ("none", Fault.Plan.none); ("default", Fault.Plan.default ~seed:5) ])
+       [ 1; 4 ])
+
 let obs_full_fast =
   Obs.Config.make ~trace:true ~series:true ~sample_interval:2.0 ~profile:true
     ()
@@ -483,6 +561,7 @@ let suites =
         case "observability is pure" test_observability_is_pure;
         case "profile in payload" test_profile_in_payload;
         case "facility snapshots" test_facility_snapshots;
+        case "trace and registry account the result" test_trace_accounts_result;
       ] );
     ( "series",
       [
