@@ -32,6 +32,20 @@ let platform_conv =
   in
   Arg.conv (parse, Format.pp_print_string)
 
+(* [--shards N] for the subcommands that can run a sharded topology;
+   [doc] says what sharding shows in that subcommand's output. *)
+let shards_arg doc =
+  let positive =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 1 -> Ok n
+      | Some _ | None ->
+          Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+    in
+    Arg.conv (parse, Format.pp_print_int)
+  in
+  Arg.(value & opt positive 1 & info [ "shards" ] ~docv:"N" ~doc)
+
 let jobs_arg =
   Arg.(
     value
@@ -213,6 +227,28 @@ let warn_if_ring_wrapped (o : Obs.Run.t) =
       dropped
   end
 
+(* Under [--check] a truncated record fails instead of warning: a wrapped
+   ring loses entries the other checks count, and a wrapped span or
+   causal ring relaxes their orphan checks. *)
+let check_nothing_dropped (o : Obs.Run.t) =
+  List.iteri
+    (fun i rp ->
+      List.iter
+        (fun (what, n) ->
+          if n > 0 then begin
+            Printf.eprintf
+              "ccsim: check failed: replication %d dropped %d %s entries; \
+               the record is truncated\n"
+              i n what;
+            exit 1
+          end)
+        [
+          ("trace", rp.Obs.Run.trace_dropped);
+          ("span", rp.Obs.Run.spans_dropped);
+          ("causal", rp.Obs.Run.causal_dropped);
+        ])
+    o.Obs.Run.reps
+
 (* ------------------------------------------------------------------ *)
 (* ccsim trace                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -250,10 +286,12 @@ let trace_cmd =
       value & flag
       & info [ "check" ]
           ~doc:
-            "Self-validate artifacts: the merged trace must be non-empty, \
-             the emitted JSON must parse, and (with $(b,--spans)) every \
-             span record must be well-formed: balanced open/close, \
-             monotone timestamps, parent containment.")
+            "Self-validate artifacts: no replication may drop trace or \
+             span entries, the merged trace must be non-empty and hold at \
+             least the commits the run measured, the emitted JSON must \
+             parse, and (with $(b,--spans)) every span record must be \
+             well-formed: balanced open/close, monotone timestamps, parent \
+             containment.")
   in
   let spans_flag =
     Arg.(
@@ -308,8 +346,24 @@ let trace_cmd =
             Format.printf "text trace written to %s@." f
         | None -> ());
         if check then begin
+          check_nothing_dropped o;
           if Array.length merged = 0 then begin
             Printf.eprintf "ccsim: check failed: merged trace is empty\n";
+            exit 1
+          end;
+          let traced =
+            Array.fold_left
+              (fun n (_, e) ->
+                match e.Obs.Recorder.ev with
+                | Obs.Event.Commit _ -> n + 1
+                | _ -> n)
+              0 merged
+          in
+          if traced < r.Core.Simulator.commits then begin
+            Printf.eprintf
+              "ccsim: check failed: the trace holds %d commits, the run \
+               measured %d\n"
+              traced r.Core.Simulator.commits;
             exit 1
           end;
           (match Obs.Export.validate_json json with
@@ -552,13 +606,10 @@ let stats_cmd =
 
 let metrics_cmd =
   let shards =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "Partition the database over N shard servers; cross-shard \
-             transactions commit via 2PC and contribute prepare/decide \
-             phases and in-doubt time.")
+    shards_arg
+      "Partition the database over N shard servers; cross-shard \
+       transactions commit via 2PC and contribute prepare/decide phases \
+       and in-doubt time."
   in
   let out_file =
     Arg.(
@@ -577,17 +628,14 @@ let metrics_cmd =
       value & flag
       & info [ "check" ]
           ~doc:
-            "Self-validate: every span record must be well-formed \
-             (balanced open/close, monotone timestamps, parent \
-             containment), the per-phase latency components must sum to \
-             the end-to-end commit latency, and the commit-latency \
-             histogram must count exactly the committed transactions.")
+            "Self-validate: no replication may drop span entries, every \
+             span record must be well-formed (balanced open/close, \
+             monotone timestamps, parent containment), the per-phase \
+             latency components must sum to the end-to-end commit \
+             latency, and the commit-latency histogram must count exactly \
+             the committed transactions.")
   in
   let run cell shards out_file spans_file check jobs =
-    if shards < 1 then begin
-      Printf.eprintf "ccsim: --shards must be positive\n";
-      exit 1
-    end;
     let spec =
       { (cell_spec ~obs:Obs.Config.latency cell) with
         Core.Simulator.n_shards = shards }
@@ -629,6 +677,7 @@ let metrics_cmd =
             Format.printf "span text written to %s@." f
         | None -> ());
         if check then begin
+          check_nothing_dropped o;
           List.iter
             (fun rep ->
               let ck =
@@ -698,13 +747,10 @@ let metrics_cmd =
 
 let causal_cmd =
   let shards =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "Partition the database over N shard servers; 2PC \
-             prepare/vote/decision fan-out then shows up as branching in \
-             the causal DAGs.")
+    shards_arg
+      "Partition the database over N shard servers; 2PC \
+       prepare/vote/decision fan-out then shows up as branching in the \
+       causal DAGs."
   in
   let faults =
     Arg.(
@@ -746,17 +792,14 @@ let causal_cmd =
       value & flag
       & info [ "check" ]
           ~doc:
-            "Self-validate: every transaction's DAG must be well-formed \
+            "Self-validate: no replication may drop span or causal \
+             entries, every transaction's DAG must be well-formed \
              (acyclic by construction, single root, delivery never before \
              send, causes never after effects), and the committed DAGs' \
              root-to-end sum must reconcile with the span-derived \
              end-to-end commit latency to 1e-9.")
   in
   let run cell shards faults dag_file perfetto_file chains check jobs =
-    if shards < 1 then begin
-      Printf.eprintf "ccsim: --shards must be positive\n";
-      exit 1
-    end;
     let spec =
       { (cell_spec ~obs:Obs.Config.causal cell) with
         Core.Simulator.n_shards = shards;
@@ -889,6 +932,7 @@ let causal_cmd =
           an.Obs.Causal.an_chain_sum cp.Obs.Critical_path.cp_end_to_end
           residual;
         if check then begin
+          check_nothing_dropped o;
           if not (Obs.Causal.check_ok ck) then begin
             Format.eprintf "ccsim: check failed: invalid causal record:@.%a@."
               Obs.Causal.pp_check ck;
@@ -1086,17 +1130,13 @@ let chaos_cmd =
     Arg.(value & flag & info [ "quick" ] ~doc:"Fewer commits per run.")
   in
   let shards =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "Partition the database over N shard servers (default 1). \
-             Cross-shard transactions commit via presumed-abort 2PC; the \
-             audit adds per-shard durability and cross-shard atomicity \
-             checks.  With --server-faults the plans come from \
-             Fault.Plan.shard_default: independent per-shard crash \
-             streams plus coordinator amnesia between prepare and \
-             commit.")
+    shards_arg
+      "Partition the database over N shard servers (default 1). \
+       Cross-shard transactions commit via presumed-abort 2PC; the audit \
+       adds per-shard durability and cross-shard atomicity checks.  With \
+       --server-faults the plans come from Fault.Plan.shard_default: \
+       independent per-shard crash streams plus coordinator amnesia \
+       between prepare and commit."
   in
   let server_faults =
     Arg.(
@@ -1119,10 +1159,6 @@ let chaos_cmd =
   let run seeds algos drop crash_mean quick shards server_faults unsafe jobs =
     if seeds <= 0 then begin
       Printf.eprintf "ccsim: --seeds must be positive\n";
-      exit 1
-    end;
-    if shards < 1 then begin
-      Printf.eprintf "ccsim: --shards must be positive\n";
       exit 1
     end;
     let measured_commits = if quick then 150 else 400 in
