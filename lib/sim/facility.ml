@@ -1,16 +1,22 @@
+(* The float accumulators sit in an all-float record, which is stored
+   flat: updating them allocates nothing. *)
+type acc = {
+  mutable busy_area : float;
+  mutable queue_area : float;
+  mutable last_stat : float;
+  mutable window_start : float;
+  mutable service_total : float;
+}
+
 type t = {
   eng : Engine.t;
   fname : string;
   cap : int;
   mutable busy : int;
   waiting : (unit -> unit) Queue.t;
-  mutable busy_area : float;
-  mutable queue_area : float;
   mutable max_q : int;
-  mutable last_stat : float;
-  mutable window_start : float;
   mutable done_count : int;
-  mutable service_total : float;
+  acc : acc;
 }
 
 let create eng ~name ?(capacity = 1) () =
@@ -21,13 +27,16 @@ let create eng ~name ?(capacity = 1) () =
     cap = capacity;
     busy = 0;
     waiting = Queue.create ();
-    busy_area = 0.0;
-    queue_area = 0.0;
     max_q = 0;
-    last_stat = Engine.now eng;
-    window_start = Engine.now eng;
     done_count = 0;
-    service_total = 0.0;
+    acc =
+      {
+        busy_area = 0.0;
+        queue_area = 0.0;
+        last_stat = Engine.now eng;
+        window_start = Engine.now eng;
+        service_total = 0.0;
+      };
   }
 
 let name f = f.fname
@@ -36,13 +45,14 @@ let in_use f = f.busy
 let queue_length f = Queue.length f.waiting
 
 let account f =
+  let a = f.acc in
   let t = Engine.now f.eng in
-  let dt = t -. f.last_stat in
+  let dt = t -. a.last_stat in
   if dt > 0.0 then begin
-    f.busy_area <- f.busy_area +. (float_of_int f.busy *. dt);
-    f.queue_area <- f.queue_area +. (float_of_int (Queue.length f.waiting) *. dt)
+    a.busy_area <- a.busy_area +. (float_of_int f.busy *. dt);
+    a.queue_area <- a.queue_area +. (float_of_int (Queue.length f.waiting) *. dt)
   end;
-  f.last_stat <- t
+  a.last_stat <- t
 
 let request f =
   account f;
@@ -68,35 +78,36 @@ let use f dt =
   request f;
   Engine.hold dt;
   f.done_count <- f.done_count + 1;
-  f.service_total <- f.service_total +. dt;
+  f.acc.service_total <- f.acc.service_total +. dt;
   release f
 
-let elapsed f = Engine.now f.eng -. f.window_start
+let elapsed f = Engine.now f.eng -. f.acc.window_start
 
 let utilization f =
   account f;
   let e = elapsed f in
-  if e <= 0.0 then 0.0 else f.busy_area /. (e *. float_of_int f.cap)
+  if e <= 0.0 then 0.0 else f.acc.busy_area /. (e *. float_of_int f.cap)
 
 let mean_queue_length f =
   account f;
   let e = elapsed f in
-  if e <= 0.0 then 0.0 else f.queue_area /. e
+  if e <= 0.0 then 0.0 else f.acc.queue_area /. e
 
 let max_queue_length f = f.max_q
 
 let busy_time f =
   account f;
-  f.busy_area
+  f.acc.busy_area
 
 let completions f = f.done_count
-let total_service_time f = f.service_total
+let total_service_time f = f.acc.service_total
 
 let reset_stats f =
-  f.busy_area <- 0.0;
-  f.queue_area <- 0.0;
+  let a = f.acc in
+  a.busy_area <- 0.0;
+  a.queue_area <- 0.0;
   f.max_q <- Queue.length f.waiting;
-  f.last_stat <- Engine.now f.eng;
-  f.window_start <- Engine.now f.eng;
+  a.last_stat <- Engine.now f.eng;
+  a.window_start <- Engine.now f.eng;
   f.done_count <- 0;
-  f.service_total <- 0.0
+  a.service_total <- 0.0

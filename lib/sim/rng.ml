@@ -1,17 +1,27 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in 8 bytes, so a draw allocates nothing
+   beyond its boxed result. *)
+type t = Bytes.t
+
+let[@inline] state t = Bytes.get_int64_ne t 0
+
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix (Int64.of_int seed) }
+let create seed = of_state (mix (Int64.of_int seed))
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] bits64 t =
+  let s = Int64.add (state t) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix s
 
 (* FNV-1a over the label, folded into the parent state: cheap, and collisions
    between distinct labels are practically impossible for our label set. *)
@@ -22,9 +32,9 @@ let split t label =
       h := Int64.logxor !h (Int64.of_int (Char.code c));
       h := Int64.mul !h 0x100000001B3L)
     label;
-  { state = mix (Int64.logxor t.state !h) }
+  of_state (mix (Int64.logxor (state t) !h))
 
-let float t =
+let[@inline] float t =
   (* 53 high-quality bits -> [0, 1) *)
   let bits = Int64.shift_right_logical (bits64 t) 11 in
   Int64.to_float bits *. (1.0 /. 9007199254740992.0)
