@@ -90,44 +90,31 @@ let transmit t n ~extra_delay ~node ~deliver =
       if node >= 0 then Obs.Causal.recv ~time:(Sim.Engine.now t.eng) node;
       deliver node)
 
+(* A message with no fault hook installed: one copy, no extra delay (so its
+   transfer process schedules no hold). *)
+let no_fault = { drop = false; extra_delay = 0.0; copies = 1 }
+
 let post ?tag t ~bytes ~deliver =
   let n = packets_for t ~bytes in
   t.msgs <- t.msgs + 1;
-  match t.fault_hook with
-  | None ->
-      (* Keep the fault-free path byte-for-byte identical to the original:
-         one transfer process, no extra-delay branch in its event trace. *)
-      (match tag with
-      | Some tag -> kind_account t tag ~pkts:n ~bytes ~copies:1
-      | None -> ());
-      let node = causal_send t tag ~pkts:n ~bytes ~dup:0 in
-      Sim.Engine.spawn t.eng (fun () ->
-          for _ = 1 to n do
-            t.pkts <- t.pkts + 1;
-            let service = Sim.Rng.exponential t.rng ~mean:t.prm.net_delay in
-            Sim.Facility.use t.wire service
-          done;
-          if node >= 0 then Obs.Causal.recv ~time:(Sim.Engine.now t.eng) node;
-          deliver node)
-  | Some hook ->
-      let f = hook ~bytes in
-      if f.drop then begin
-        (match tag with
-        | Some tag -> kind_account t tag ~pkts:n ~bytes ~copies:0
-        | None -> ());
-        let node = causal_send t tag ~pkts:n ~bytes ~dup:0 in
-        if node >= 0 then Obs.Causal.drop ~time:(Sim.Engine.now t.eng) node
-      end
-      else begin
-        let copies = max 1 f.copies in
-        (match tag with
-        | Some tag -> kind_account t tag ~pkts:n ~bytes ~copies
-        | None -> ());
-        for i = 0 to copies - 1 do
-          let node = causal_send t tag ~pkts:n ~bytes ~dup:i in
-          transmit t n ~extra_delay:f.extra_delay ~node ~deliver
-        done
-      end
+  let f = match t.fault_hook with None -> no_fault | Some hook -> hook ~bytes in
+  if f.drop then begin
+    (match tag with
+    | Some tag -> kind_account t tag ~pkts:n ~bytes ~copies:0
+    | None -> ());
+    let node = causal_send t tag ~pkts:n ~bytes ~dup:0 in
+    if node >= 0 then Obs.Causal.drop ~time:(Sim.Engine.now t.eng) node
+  end
+  else begin
+    let copies = max 1 f.copies in
+    (match tag with
+    | Some tag -> kind_account t tag ~pkts:n ~bytes ~copies
+    | None -> ());
+    for i = 0 to copies - 1 do
+      let node = causal_send t tag ~pkts:n ~bytes ~dup:i in
+      transmit t n ~extra_delay:f.extra_delay ~node ~deliver
+    done
+  end
 
 let messages_sent t = t.msgs
 let packets_sent t = t.pkts
