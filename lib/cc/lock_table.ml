@@ -41,12 +41,19 @@ type entry = {
   q_tbl : (owner, wnode) Hashtbl.t;
 }
 
+(* Entries and per-owner page sets leave the table when they empty, and
+   go on free lists that the next lock reuses instead of allocating.  A
+   recycled hashtable is [Hashtbl.reset], not [clear]: reset restores the
+   initial bucket array, so a recycled set iterates in exactly the order a
+   fresh one would, and [release_all]/[pages_held_by] stay deterministic. *)
 type t = {
   pages : (int, entry) Hashtbl.t;
   by_owner : (owner, (int, unit) Hashtbl.t) Hashtbl.t;
   waits_by_owner : (owner, (int, unit) Hashtbl.t) Hashtbl.t;
   mutable n_held : int;
   mutable n_waiting : int;
+  mutable free_entries : entry list;
+  mutable free_sets : (int, unit) Hashtbl.t list;
 }
 
 let create () =
@@ -56,6 +63,8 @@ let create () =
     waits_by_owner = Hashtbl.create 64;
     n_held = 0;
     n_waiting = 0;
+    free_entries = [];
+    free_sets = [];
   }
 
 let entry t page =
@@ -63,15 +72,20 @@ let entry t page =
   | Some e -> e
   | None ->
       let e =
-        {
-          h_head = None;
-          h_tail = None;
-          h_tbl = Hashtbl.create 8;
-          x_holder = None;
-          q_head = None;
-          q_tail = None;
-          q_tbl = Hashtbl.create 8;
-        }
+        match t.free_entries with
+        | e :: rest ->
+            t.free_entries <- rest;
+            e
+        | [] ->
+            {
+              h_head = None;
+              h_tail = None;
+              h_tbl = Hashtbl.create 8;
+              x_holder = None;
+              q_head = None;
+              q_tail = None;
+              q_tbl = Hashtbl.create 8;
+            }
       in
       Hashtbl.replace t.pages page e;
       e
@@ -132,45 +146,54 @@ let fold_waiters e f acc =
 
 (* ---------------- owner-side indexes ---------------- *)
 
-let note_held t owner page =
+(* Both owner indexes draw their sets from [free_sets]; every set is
+   created with [Hashtbl.create 16], so any recycled one resets to the same
+   initial size. *)
+let note_page t index owner page =
   let set =
-    match Hashtbl.find_opt t.by_owner owner with
+    match Hashtbl.find_opt index owner with
     | Some s -> s
     | None ->
-        let s = Hashtbl.create 16 in
-        Hashtbl.replace t.by_owner owner s;
+        let s =
+          match t.free_sets with
+          | s :: rest ->
+              t.free_sets <- rest;
+              s
+          | [] -> Hashtbl.create 16
+        in
+        Hashtbl.replace index owner s;
         s
   in
   Hashtbl.replace set page ()
 
-let note_released t owner page =
-  match Hashtbl.find_opt t.by_owner owner with
+let forget_page t index owner page =
+  match Hashtbl.find_opt index owner with
   | None -> ()
   | Some s ->
       Hashtbl.remove s page;
-      if Hashtbl.length s = 0 then Hashtbl.remove t.by_owner owner
+      if Hashtbl.length s = 0 then begin
+        Hashtbl.remove index owner;
+        Hashtbl.reset s;
+        t.free_sets <- s :: t.free_sets
+      end
 
-let note_waiting t owner page =
-  let set =
-    match Hashtbl.find_opt t.waits_by_owner owner with
-    | Some s -> s
-    | None ->
-        let s = Hashtbl.create 8 in
-        Hashtbl.replace t.waits_by_owner owner s;
-        s
-  in
-  Hashtbl.replace set page ()
+let note_held t owner page = note_page t t.by_owner owner page
+let note_released t owner page = forget_page t t.by_owner owner page
+let note_waiting t owner page = note_page t t.waits_by_owner owner page
+let note_wait_done t owner page = forget_page t t.waits_by_owner owner page
 
-let note_wait_done t owner page =
-  match Hashtbl.find_opt t.waits_by_owner owner with
-  | None -> ()
-  | Some s ->
-      Hashtbl.remove s page;
-      if Hashtbl.length s = 0 then Hashtbl.remove t.waits_by_owner owner
-
+(* The entry leaves [t.pages] even though it is reused: keeping it there
+   would change the bucket chains, and with them the [all_waiting] order.
+   With both tables empty its lists and [x_holder] are already [None]
+   ([check_invariants] holds them in sync), so only the tables need a
+   reset to match a fresh entry. *)
 let drop_entry_if_empty t page e =
-  if Hashtbl.length e.h_tbl = 0 && Hashtbl.length e.q_tbl = 0 then
-    Hashtbl.remove t.pages page
+  if Hashtbl.length e.h_tbl = 0 && Hashtbl.length e.q_tbl = 0 then begin
+    Hashtbl.remove t.pages page;
+    Hashtbl.reset e.h_tbl;
+    Hashtbl.reset e.q_tbl;
+    t.free_entries <- e :: t.free_entries
+  end
 
 (* O(1) compatibility: an X holder is always sole, so S conflicts only with
    a foreign x_holder, and X needs the holder set to be empty or just us. *)
@@ -403,10 +426,17 @@ let pages_held_by t owner =
 
 let holds_any t owner = Hashtbl.mem t.by_owner owner
 
+(* The list follows [Hashtbl.fold] over [t.pages]; that order fixes the
+   waits-for edge order, and with it which cycle the detector finds and
+   which victim it aborts.  Entries with no waiter add nothing, so they
+   are skipped before building a closure for them. *)
 let all_waiting t =
   Hashtbl.fold
     (fun page e acc ->
-      fold_waiters e (fun acc w -> (page, w.wn_owner, w.wn_mode) :: acc) acc)
+      match e.q_head with
+      | None -> acc
+      | Some _ ->
+          fold_waiters e (fun acc w -> (page, w.wn_owner, w.wn_mode) :: acc) acc)
     t.pages []
 
 let blockers t ~page owner =

@@ -8,7 +8,10 @@
 
     The table is a pure data structure: a blocked request registers a
     [wake] callback that the table invokes when the lock is granted.  The
-    simulator passes a closure that resumes the blocked server process. *)
+    simulator passes a closure that resumes the blocked server process.
+    [wake] must not call back into the table: the grant loop that invokes
+    it may still be working on the page, whose entry is reused once it
+    empties. *)
 
 type mode = S | X
 

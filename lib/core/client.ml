@@ -31,6 +31,8 @@ type t = {
   retained : (int, Proto.lock_kind) Hashtbl.t; (* callback: retained locks *)
   pending_cb : (int, unit) Hashtbl.t; (* callbacks deferred to xact end *)
   read_snap : (int, int) Hashtbl.t; (* locking: page -> version first read *)
+  probe_need : (int, unit) Hashtbl.t; (* scratch sets of [page_set] ... *)
+  probe_got : (int, unit) Hashtbl.t; (* ... and [reply_page_set] *)
   mutable contacted : bool; (* sent any xact-scoped message this attempt *)
   mutable abort_flag : bool;
   mutable abort_stale : int list;
@@ -59,15 +61,19 @@ type t = {
   mutable cz_parent : int;
 }
 
-(* Build a probe set once so per-page membership checks cost O(1) instead
-   of rescanning a list for every page of the object. *)
-let page_set pages =
-  let s = Hashtbl.create (max 8 (List.length pages)) in
+(* Fill one of the client's two probe sets, so per-page membership checks
+   cost O(1) instead of rescanning a list for every page of the object.
+   The sets are reused: a caller must finish with one before anything can
+   suspend, or another process of this client could refill it. *)
+let page_set t pages =
+  let s = t.probe_need in
+  Hashtbl.clear s;
   List.iter (fun p -> Hashtbl.replace s p ()) pages;
   s
 
-let reply_page_set data =
-  let s = Hashtbl.create (max 8 (List.length data)) in
+let reply_page_set t data =
+  let s = t.probe_got in
+  Hashtbl.clear s;
   List.iter (fun (p, _) -> Hashtbl.replace s p ()) data;
   s
 
@@ -107,6 +113,8 @@ let create ?audit ?(fault = Fault.Plan.none) ?(down_gauge = ref 0) eng ~id
     retained = Hashtbl.create 256;
     pending_cb = Hashtbl.create 16;
     read_snap = Hashtbl.create 64;
+    probe_need = Hashtbl.create 8;
+    probe_got = Hashtbl.create 8;
     contacted = false;
     abort_flag = false;
     abort_stale = [];
@@ -626,7 +634,7 @@ let read_locking t pages ~no_wait_ok =
       match await_reply t with
       | Proto.Fetch_reply { data; _ } ->
           install_fetch_data t data;
-          let got = reply_page_set data in
+          let got = reply_page_set t data in
           List.iter
             (fun p -> if not (Hashtbl.mem got p) then touch_and_pin t p)
             need
@@ -635,7 +643,7 @@ let read_locking t pages ~no_wait_ok =
     List.iter (fun p -> Hashtbl.replace t.locked p Proto.Read) need;
     snap_reads t need
   end;
-  let needed = page_set need in
+  let needed = page_set t need in
   List.iter
     (fun p -> if not (Hashtbl.mem needed p) then touch_and_pin t p)
     pages;
@@ -674,7 +682,7 @@ let read_callback t pages =
     (match await_reply t with
     | Proto.Fetch_reply { data; _ } ->
         install_fetch_data t data;
-        let got = reply_page_set data in
+        let got = reply_page_set t data in
         List.iter
           (fun p -> if not (Hashtbl.mem got p) then touch_and_pin t p)
           need
@@ -687,7 +695,7 @@ let read_callback t pages =
         end)
       need
   end;
-  let needed = page_set need in
+  let needed = page_set t need in
   List.iter
     (fun p ->
       (* don't forget a write lock we already hold on a re-read *)
@@ -711,7 +719,7 @@ let read_certification t pages =
     (match await_reply ~kind:Obs.Span.Cert_wait t with
     | Proto.Cert_reply { data; _ } ->
         install_fetch_data t data;
-        let got = reply_page_set data in
+        let got = reply_page_set t data in
         List.iter
           (fun p -> if not (Hashtbl.mem got p) then touch_and_pin t p)
           need
@@ -723,7 +731,7 @@ let read_certification t pages =
         | None -> assert false)
       need
   end;
-  let needed = page_set need in
+  let needed = page_set t need in
   List.iter
     (fun p -> if not (Hashtbl.mem needed p) then touch_and_pin t p)
     pages
@@ -939,7 +947,7 @@ let commit t =
         if t.cfg.Sys_params.callback_retain_writes then Proto.Write
         else Proto.Read
       in
-      let released = page_set release_pages in
+      let released = page_set t release_pages in
       List.iter
         (fun p ->
           if not (Hashtbl.mem released p) then Hashtbl.replace t.retained p mode)

@@ -516,10 +516,7 @@ let admit t ~client ~xid =
               x_client = client;
               x_epoch = t.epoch;
               x_start = Sim.Engine.now t.eng;
-              x_chain =
-                Sim.Facility.create t.eng
-                  ~name:(Printf.sprintf "chain-%d" xid)
-                  ();
+              x_chain = Sim.Facility.create t.eng ~name:"chain" ();
               x_aborted = false;
               x_new_locks = [];
               x_upgraded = [];

@@ -13,7 +13,8 @@ type t = {
   mix : (float * Xact_params.t) list; (* weights normalized at creation *)
   rng : Sim.Rng.t;
   mutable prm : Xact_params.t; (* parameters of the current transaction *)
-  mutable recent : Database.obj list; (* InterXactSet, most recent first *)
+  recent : Database.obj array; (* InterXactSet, most recent first ... *)
+  mutable n_recent : int; (* ... in [recent.(0 .. n_recent - 1)] *)
   mutable zipf : (float * float array) option; (* cached (skew, class CDF) *)
 }
 
@@ -26,7 +27,20 @@ let create_mix db mix ~rng =
     mix;
   let total = List.fold_left (fun acc (w, _) -> acc +. w) 0.0 mix in
   let mix = List.map (fun (w, prm) -> (w /. total, prm)) mix in
-  { db; mix; rng; prm = snd (List.hd mix); recent = []; zipf = None }
+  let capacity =
+    List.fold_left
+      (fun acc (_, prm) -> max acc prm.Xact_params.inter_xact_set_size)
+      0 mix
+  in
+  {
+    db;
+    mix;
+    rng;
+    prm = snd (List.hd mix);
+    recent = Array.make capacity { Database.cls = 0; start = 0 };
+    n_recent = 0;
+    zipf = None;
+  }
 
 let create db prm ~rng = create_mix db [ (1.0, prm) ] ~rng
 
@@ -42,23 +56,31 @@ let pick_type t =
         | (w, prm) :: rest -> if u < acc +. w then prm else go (acc +. w) rest
       in
       go 0.0 mix
-let inter_xact_set t = t.recent
+
+let inter_xact_set t = List.init t.n_recent (fun i -> t.recent.(i))
+
+(* Position of [obj] in [recent.(i .. n - 1)], or [n]. *)
+let rec index_of recent n obj i =
+  if i = n || Database.compare_obj recent.(i) obj = 0 then i
+  else index_of recent n obj (i + 1)
 
 (* LRU update: re-reading an object moves it to the front rather than
-   duplicating it, so the set holds distinct recent objects. *)
+   duplicating it, so the set holds distinct recent objects.  The array
+   fits the largest set size in the mix; each call cuts the set to the
+   current type's size. *)
 let remember t obj =
-  if t.prm.Xact_params.inter_xact_set_size > 0 then begin
-    let without =
-      List.filter (fun o -> Database.compare_obj o obj <> 0) t.recent
-    in
-    let trimmed =
-      if List.length without >= t.prm.Xact_params.inter_xact_set_size then
-        List.filteri
-          (fun i _ -> i < t.prm.Xact_params.inter_xact_set_size - 1)
-          without
-      else without
-    in
-    t.recent <- obj :: trimmed
+  let size = t.prm.Xact_params.inter_xact_set_size in
+  if size > 0 then begin
+    let n = t.n_recent in
+    let at = index_of t.recent n obj 0 in
+    let others = if at < n then n - 1 else n in
+    let kept = if others >= size then size - 1 else others in
+    (* slots past [min at kept] already hold the right objects *)
+    for i = min at kept downto 1 do
+      t.recent.(i) <- t.recent.(i - 1)
+    done;
+    t.recent.(0) <- obj;
+    t.n_recent <- kept + 1
   end
 
 (* Zipf(theta) over classes: class [k] with probability proportional to
@@ -92,8 +114,8 @@ let skewed_object t skew =
 
 let pick_object t =
   let p = t.prm.Xact_params.inter_xact_loc in
-  if t.recent <> [] && Sim.Rng.bernoulli t.rng p then
-    List.nth t.recent (Sim.Rng.int t.rng (List.length t.recent))
+  if t.n_recent > 0 && Sim.Rng.bernoulli t.rng p then
+    t.recent.(Sim.Rng.int t.rng t.n_recent)
   else if t.prm.Xact_params.class_skew > 0.0 then
     skewed_object t t.prm.Xact_params.class_skew
   else Database.random_object t.db t.rng

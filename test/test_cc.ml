@@ -160,6 +160,84 @@ let test_downgrade () =
     (Option.map Lock_table.mode_to_string (Lock_table.held lt ~page:1 1));
   Lock_table.check_invariants lt
 
+(* Entries and owner sets are recycled once they empty.  Lock, fully
+   release and re-lock the same pages many times, with S holders, a queued
+   upgrade, X and S waiters and a cancelled wait, and check after every
+   cycle that nothing of the previous cycle shows through. *)
+let test_recycled_entries_start_clean () =
+  let lt = Lock_table.create () in
+  let owners = [ 1; 2; 3; 4 ] in
+  let modes = List.map (fun (o, m) -> (o, Lock_table.mode_to_string m)) in
+  let modes_t = Alcotest.(list (pair int string)) in
+  for cycle = 1 to 60 do
+    let label what = Printf.sprintf "cycle %d: %s" cycle what in
+    let pages = List.map (fun p -> p + (100 * (cycle mod 3))) [ 3; 19; 40 ] in
+    let woken = ref [] in
+    List.iteri
+      (fun i page ->
+        let pick k = List.nth owners ((cycle + i + k) mod 4) in
+        let a = pick 0 and b = pick 1 and c = pick 2 and d = pick 3 in
+        let req o m =
+          Lock_table.request lt ~page o m ~wake:(fun () -> woken := o :: !woken)
+        in
+        expect_granted (label "a S") (req a S);
+        expect_granted (label "b S") (req b S);
+        Alcotest.(check (list int)) (label "upgrade blockers") [ b ]
+          (expect_blocked (label "a X") (req a X));
+        Alcotest.(check (list int)) (label "X blockers")
+          (List.sort Int.compare [ a; b ])
+          (expect_blocked (label "c X") (req c X));
+        Alcotest.(check (list int)) (label "S blockers")
+          (List.sort Int.compare [ a; c ])
+          (expect_blocked (label "d S") (req d S));
+        Alcotest.check modes_t (label "holders")
+          [ (b, "S"); (a, "S") ]
+          (modes (Lock_table.holders lt ~page));
+        Alcotest.check modes_t (label "queue")
+          [ (a, "X"); (c, "X"); (d, "S") ]
+          (modes (Lock_table.waiting lt ~page));
+        Lock_table.release lt ~page b;
+        Lock_table.release lt ~page a;
+        if cycle mod 2 = 0 then Lock_table.cancel_wait lt ~page d;
+        Alcotest.(check (list int)) (label "woken") [ c; a ] !woken;
+        woken := [];
+        Lock_table.check_invariants lt)
+      pages;
+    List.iter
+      (fun o ->
+        Lock_table.cancel_all_waits lt o;
+        ignore (Lock_table.release_all lt o))
+      owners;
+    Lock_table.check_invariants lt;
+    Alcotest.(check int) (label "locks held") 0 (Lock_table.locks_held lt);
+    Alcotest.(check int) (label "waiting") 0 (Lock_table.waiting_count lt);
+    Alcotest.(check (list (triple int int string))) (label "all waiting") []
+      (List.map
+         (fun (p, o, m) -> (p, o, Lock_table.mode_to_string m))
+         (Lock_table.all_waiting lt));
+    List.iter
+      (fun page ->
+        Alcotest.check modes_t (label "no holders") []
+          (modes (Lock_table.holders lt ~page));
+        Alcotest.check modes_t (label "no waiters") []
+          (modes (Lock_table.waiting lt ~page));
+        List.iter
+          (fun o ->
+            Alcotest.(check (option string)) (label "not held") None
+              (Option.map Lock_table.mode_to_string (Lock_table.held lt ~page o));
+            Alcotest.(check (list int)) (label "no blockers") []
+              (Lock_table.blockers lt ~page o))
+          owners)
+      pages;
+    List.iter
+      (fun o ->
+        Alcotest.(check (list int)) (label "no pages held") []
+          (Lock_table.pages_held_by lt o);
+        Alcotest.(check bool) (label "holds nothing") false
+          (Lock_table.holds_any lt o))
+      owners
+  done
+
 let prop_lock_invariants_random_ops =
   QCheck.Test.make ~name:"random op sequences keep invariants" ~count:300
     QCheck.(
@@ -259,6 +337,41 @@ let test_pick_victim_youngest () =
     (Waits_for.pick_victim ~start_time [ 1; 2; 3 ]);
   Alcotest.(check int) "tie broken by id" 3
     (Waits_for.pick_victim ~start_time:(fun _ -> 1.0) [ 1; 2; 3 ])
+
+(* The deadlock detector's choice of cycle, and so of victim, follows the
+   order of [all_waiting] and of each owner's waits-for successors.  Pin
+   both, unsorted, after a fixed seeded run of requests, releases and
+   cancellations that empties and refills many entries. *)
+let test_waits_for_order_pinned () =
+  let lt = Lock_table.create () in
+  let rng = Sim.Rng.create 2024 in
+  for _ = 1 to 400 do
+    let owner = Sim.Rng.int rng 10 in
+    let page = 1 + (37 * Sim.Rng.int rng 24) in
+    match Sim.Rng.int rng 10 with
+    | 0 | 1 | 2 -> ignore (Lock_table.request lt ~page owner S ~wake:no_wake)
+    | 3 | 4 -> ignore (Lock_table.request lt ~page owner X ~wake:no_wake)
+    | 5 | 6 -> Lock_table.release lt ~page owner
+    | 7 -> Lock_table.cancel_wait lt ~page owner
+    | 8 -> ignore (Lock_table.release_all lt owner)
+    | _ -> Lock_table.cancel_all_waits lt owner
+  done;
+  Lock_table.check_invariants lt;
+  Alcotest.(check (list (triple int int string)))
+    "all_waiting order"
+    [
+      (556, 9, "X"); (667, 6, "X"); (667, 2, "S"); (667, 1, "S");
+      (38, 7, "S"); (38, 2, "X"); (593, 8, "S"); (815, 9, "X");
+      (630, 1, "X"); (112, 9, "S"); (112, 5, "X");
+    ]
+    (List.map
+       (fun (p, o, m) -> (p, o, Lock_table.mode_to_string m))
+       (Lock_table.all_waiting lt));
+  let g = Waits_for.of_lock_table lt in
+  Alcotest.(check (list (list int)))
+    "successor order"
+    [ []; [ 2; 8 ]; [ 4; 8 ]; []; []; [ 4 ]; [ 8; 2; 1 ]; [ 2 ]; [ 0 ]; [ 5; 0; 6 ] ]
+    (List.init 10 (Waits_for.succ g))
 
 (* ------------------------------------------------------------------ *)
 (* Version_table                                                       *)
@@ -828,6 +941,7 @@ let suites =
         case "cancel wait unblocks" test_cancel_wait_unblocks;
         case "cancel all waits" test_cancel_all_waits;
         case "downgrade" test_downgrade;
+        case "recycled entries start clean" test_recycled_entries_start_clean;
       ] );
     qsuite "lock-props"
       [
@@ -845,6 +959,7 @@ let suites =
         case "deadlock from lock table" test_of_lock_table_deadlock;
         case "conversion deadlock" test_upgrade_deadlock_detected;
         case "youngest victim" test_pick_victim_youngest;
+        case "edge order pinned" test_waits_for_order_pinned;
       ] );
     ( "version_table",
       [

@@ -329,6 +329,144 @@ let test_mix_rejects_bad_input () =
            [ (0.0, Xact_params.short_batch ()) ]
            ~rng:(Sim.Rng.create 1)))
 
+(* The list-based InterXactSet generator that the array-backed one
+   replaced, kept as a reference: the same draws from the same stream, with
+   the set rebuilt by [List.filter]/[List.filteri] on every step. *)
+module Ref_workload = struct
+  type t = {
+    db : Database.t;
+    mix : (float * Xact_params.t) list;
+    rng : Sim.Rng.t;
+    mutable prm : Xact_params.t;
+    mutable recent : Database.obj list;
+  }
+
+  let create_mix db mix ~rng =
+    let total = List.fold_left (fun acc (w, _) -> acc +. w) 0.0 mix in
+    let mix = List.map (fun (w, prm) -> (w /. total, prm)) mix in
+    { db; mix; rng; prm = snd (List.hd mix); recent = [] }
+
+  let pick_type t =
+    match t.mix with
+    | [ (_, prm) ] -> prm
+    | mix ->
+        let u = Sim.Rng.float t.rng in
+        let rec go acc = function
+          | [] -> snd (List.hd mix)
+          | (w, prm) :: rest -> if u < acc +. w then prm else go (acc +. w) rest
+        in
+        go 0.0 mix
+
+  let remember t obj =
+    let size = t.prm.Xact_params.inter_xact_set_size in
+    if size > 0 then begin
+      let without =
+        List.filter (fun o -> Database.compare_obj o obj <> 0) t.recent
+      in
+      let trimmed =
+        if List.length without >= size then
+          List.filteri (fun i _ -> i < size - 1) without
+        else without
+      in
+      t.recent <- obj :: trimmed
+    end
+
+  let skewed_object t skew =
+    let n = Database.n_classes t.db in
+    let cdf = Array.make n 0.0 and acc = ref 0.0 in
+    for k = 0 to n - 1 do
+      acc := !acc +. (1.0 /. Float.pow (float_of_int (k + 1)) skew);
+      cdf.(k) <- !acc
+    done;
+    let cdf = Array.map (fun c -> c /. !acc) cdf in
+    let u = Sim.Rng.float t.rng in
+    let rec find k = if k >= n - 1 || u < cdf.(k) then k else find (k + 1) in
+    let cls = find 0 in
+    let atoms = (Database.params t.db).Db_params.n_pages.(cls) in
+    { Database.cls; start = Sim.Rng.int t.rng atoms }
+
+  let pick_object t =
+    if t.recent <> [] && Sim.Rng.bernoulli t.rng t.prm.Xact_params.inter_xact_loc
+    then List.nth t.recent (Sim.Rng.int t.rng (List.length t.recent))
+    else if t.prm.Xact_params.class_skew > 0.0 then
+      skewed_object t t.prm.Xact_params.class_skew
+    else Database.random_object t.db t.rng
+
+  let make_step t =
+    let obj = pick_object t in
+    remember t obj;
+    let read_pages = Database.pages t.db obj in
+    let pw = t.prm.Xact_params.prob_write in
+    let write_pages =
+      if pw <= 0.0 then []
+      else List.filter (fun _ -> Sim.Rng.bernoulli t.rng pw) read_pages
+    in
+    {
+      Workload.obj;
+      read_pages;
+      write_pages;
+      update_delay =
+        Sim.Rng.exponential t.rng ~mean:t.prm.Xact_params.update_delay;
+      internal_delay =
+        Sim.Rng.exponential t.rng ~mean:t.prm.Xact_params.internal_delay;
+    }
+
+  let next t =
+    t.prm <- pick_type t;
+    let size =
+      Sim.Rng.uniform_int t.rng t.prm.Xact_params.min_xact_size
+        t.prm.Xact_params.max_xact_size
+    in
+    let steps = List.init size (fun _ -> make_step t) in
+    {
+      Workload.steps;
+      external_delay =
+        Sim.Rng.exponential t.rng ~mean:t.prm.Xact_params.external_delay;
+    }
+end
+
+(* Small database (40 objects) so objects repeat often; mixes of one to
+   three types whose set sizes include 0 and 1; runs up to 300
+   transactions.  Every profile and the set after it must match. *)
+let prop_inter_xact_set_matches_list_model =
+  let gen_type =
+    QCheck.Gen.(
+      map
+        (fun (((size, loc), (lo, span)), (skew, w)) ->
+          ( float_of_int w,
+            {
+              (Xact_params.short_batch ~prob_write:0.3 ~inter_xact_loc:loc ())
+              with
+              Xact_params.inter_xact_set_size = size;
+              min_xact_size = lo;
+              max_xact_size = lo + span;
+              class_skew = skew;
+            } ))
+        (pair
+           (pair
+              (pair (oneofl [ 0; 1; 2; 3; 5; 20 ]) (oneofl [ 0.0; 0.5; 0.9; 1.0 ]))
+              (pair (int_range 1 4) (int_range 0 8)))
+           (pair (oneofl [ 0.0; 0.0; 0.9 ]) (int_range 1 3))))
+  in
+  QCheck.Test.make ~name:"InterXactSet matches list-based reference model"
+    ~count:300
+    QCheck.(
+      make
+        Gen.(
+          triple (list_size (int_range 1 3) gen_type) (int_range 1 300)
+            (int_bound 1_000_000)))
+    (fun (mix, n_xacts, seed) ->
+      let db = small_db () in
+      let w = Workload.create_mix db mix ~rng:(Sim.Rng.create seed) in
+      let r = Ref_workload.create_mix db mix ~rng:(Sim.Rng.create seed) in
+      for i = 1 to n_xacts do
+        if Workload.next w <> Ref_workload.next r then
+          QCheck.Test.fail_reportf "transaction %d: profiles differ" i;
+        if Workload.inter_xact_set w <> r.Ref_workload.recent then
+          QCheck.Test.fail_reportf "transaction %d: InterXactSets differ" i
+      done;
+      true)
+
 let suites =
   [
     ( "db_params",
@@ -370,7 +508,8 @@ let suites =
         case "mix weights respected" test_mix_weights_respected;
         case "mix rejects bad input" test_mix_rejects_bad_input;
       ] );
-    qsuite "workload-props" [ prop_write_rate_tracks_prob ];
+    qsuite "workload-props"
+      [ prop_write_rate_tracks_prob; prop_inter_xact_set_matches_list_model ];
   ]
 
 let () = Alcotest.run "db" suites
