@@ -9,7 +9,6 @@
      dune exec bench/main.exe -- --reps 5     # replications + CI columns
      dune exec bench/main.exe -- --detail     # abort/hit/message columns
      dune exec bench/main.exe -- --csv f.csv  # machine-readable copy
-     dune exec bench/main.exe -- --micro      # bechamel engine microbenches
      dune exec bench/main.exe -- --json b.json # telemetry snapshot
      dune exec bench/main.exe -- --list       # experiment ids *)
 
@@ -17,9 +16,8 @@
 (* Microbenchmarks of the simulation substrate                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Kept as plain (name, thunk) pairs so the same workloads feed both the
-   bechamel tables (--micro) and the telemetry snapshot (--json), which
-   times them directly and attaches replication confidence intervals. *)
+(* Plain (name, thunk) pairs, timed directly for the telemetry snapshot
+   (--json), which attaches replication confidence intervals. *)
 
 let micro_defs : (string * (unit -> unit)) list =
   [
@@ -93,32 +91,6 @@ let micro_defs : (string * (unit -> unit)) list =
             (Obs.Event.Disk_read { page = i land 0xfff })
         done );
   ]
-
-let micro_tests =
-  let open Bechamel in
-  List.map
-    (fun (name, fn) -> Test.make ~name (Staged.stage fn))
-    micro_defs
-
-let micro_benchmarks () =
-  let open Bechamel in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:100 ~quota:(Time.second 0.5) () in
-  List.iter
-    (fun test ->
-      let raw = Benchmark.all cfg instances test in
-      let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some (est :: _) ->
-              Printf.printf "  %-45s %14.0f ns/run\n%!" name est
-          | Some [] | None -> Printf.printf "  %-45s (no estimate)\n%!" name)
-        results)
-    micro_tests
 
 (* Direct timing for the telemetry snapshot: one warmup run, then [runs]
    timed runs; the median goes into the snapshot and the Student-t CI of
@@ -314,7 +286,6 @@ let () =
   let experiments = ref [] in
   let quick = ref false in
   let detail = ref false in
-  let micro = ref false in
   let csv = ref None in
   let plots = ref None in
   let json = ref None in
@@ -336,7 +307,6 @@ let () =
         "N replications per cell (default 1); at N >= 2 every figure cell \
          gains a 95% confidence interval" );
       ("--detail", Arg.Set detail, " print abort/hit/message columns");
-      ("--micro", Arg.Set micro, " also run bechamel engine microbenchmarks");
       ( "--csv",
         Arg.String (fun s -> csv := Some s),
         "FILE also write every figure as CSV" );
@@ -539,8 +509,4 @@ let () =
           exit 1);
       Obs.Export.write_file file text;
       Printf.printf "telemetry snapshot written to %s\n" file
-  | None -> ());
-  if !micro then begin
-    Printf.printf "\n###### bechamel microbenchmarks\n%!";
-    micro_benchmarks ()
-  end
+  | None -> ())
